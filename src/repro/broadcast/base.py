@@ -18,9 +18,7 @@ retrieval gate) out of the broadcast layer, matching the paper's layering.
 
 from __future__ import annotations
 
-from collections.abc import Set as AbstractSet
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, Optional, Set
+from typing import Callable, Dict, Optional
 
 from ..crypto.hashing import Digest
 from ..dag.block import Block
@@ -28,69 +26,64 @@ from ..obs import NULL_OBS, Observability
 
 DeliverCallback = Callable[[Block], None]
 
+#: Shared result of ``echoers_of`` for digests nobody has echoed.
+NO_ECHOERS: frozenset = frozenset()
 
-class SetView(AbstractSet):
-    """Read-only, copy-free view over a live ``set``.
 
-    ``echoers_of`` sits on the retrieval-fallback hot path (consulted per
-    retry timer and per accepted block); copying the echoer set each call
-    is Θ(n) garbage per query.  The view supports membership, iteration,
-    length, and the standard set algebra via :class:`collections.abc.Set`,
-    but exposes no mutators — callers cannot corrupt broadcast state.  It
-    is *live*: membership and length reflect later echoes, which is
-    exactly what a retrying retriever wants.  Iteration snapshots the
-    target when it starts, so a caller that holds the view while echoes
-    arrive iterates a consistent point-in-time set rather than raising
-    ``set changed size during iteration``.
+class InstanceState:
+    """Per-block broadcast state.
+
+    A replica holds one of these per block per round, n² across a
+    simulated cluster, so the layout is compact: ``__slots__`` and the
+    echo/ready senders as ``1 << replica`` bitmasks, each kept with its
+    popcount so the quorum predicates never scan the mask.
     """
 
-    __slots__ = ("_target",)
+    __slots__ = (
+        "body",
+        "ready",
+        "delivered",
+        "echoers",
+        "echo_count",
+        "readiers",
+        "ready_count",
+        "sent_ready",
+        "round",
+    )
 
-    def __init__(self, target: "Set[int] | frozenset") -> None:
-        self._target = target
+    def __init__(self) -> None:
+        self.body: Optional[Block] = None
+        self.ready = False  # protocol accepted it (ancestors present, valid)
+        self.delivered = False
+        self.echoers = 0  # bitmask of echo senders
+        self.echo_count = 0
+        self.readiers = 0  # bitmask of ready senders
+        self.ready_count = 0
+        self.sent_ready = False
+        #: DAG round of the block, stamped opportunistically from whichever
+        #: message first reveals it (body, echo, ready); -1 = not yet known.
+        #: Drives :meth:`InstanceTracker.gc_below` — without it the tracker
+        #: retains every instance ever seen, which is what unbounds memory on
+        #: long large-n runs.
+        self.round = -1
 
-    def __contains__(self, item: object) -> bool:
-        return item in self._target
+    def add_echo(self, src: int) -> bool:
+        """Record ``src``'s ECHO; False if it was already counted."""
+        bit = 1 << src
+        if self.echoers & bit:
+            return False
+        self.echoers |= bit
+        self.echo_count += 1
+        return True
 
-    def __iter__(self) -> Iterator:
-        # Iteration is Θ(n) regardless; the tuple snapshot only adds a
-        # constant factor while making held views safe to iterate across
-        # mutations of the underlying echoer set.
-        return iter(tuple(self._target))
-
-    def __len__(self) -> int:
-        return len(self._target)
-
-    @classmethod
-    def _from_iterable(cls, it) -> frozenset:
-        # Set-algebra results (view & other, view | other, ...) are new
-        # collections, not views — materialize them.
-        return frozenset(it)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"SetView({set(self._target)!r})"
-
-
-#: Shared empty view for digests with no instance state.
-EMPTY_SET_VIEW = SetView(frozenset())
-
-
-@dataclass
-class InstanceState:
-    """Per-block broadcast state."""
-
-    body: Optional[Block] = None
-    ready: bool = False  # protocol accepted it (ancestors present, valid)
-    delivered: bool = False
-    echoers: Set[int] = field(default_factory=set)
-    readiers: Set[int] = field(default_factory=set)
-    sent_ready: bool = False
-    #: DAG round of the block, stamped opportunistically from whichever
-    #: message first reveals it (body, echo, ready); -1 = not yet known.
-    #: Drives :meth:`InstanceTracker.gc_below` — without it the tracker
-    #: retains every instance ever seen, which is what unbounds memory on
-    #: long large-n runs.
-    round: int = -1
+    def add_ready(self, src: int) -> bool:
+        """Record ``src``'s READY; False if it was already counted."""
+        bit = 1 << src
+        if self.readiers & bit:
+            return False
+        self.readiers |= bit
+        self.ready_count += 1
+        return True
 
 
 class InstanceTracker:
@@ -167,13 +160,15 @@ class InstanceTracker:
         inst = self._instances.get(digest)
         return inst is not None and inst.delivered
 
-    def echoers_of(self, digest: Digest) -> AbstractSet:
+    def echoers_of(self, digest: Digest) -> frozenset:
         """Replicas that echoed a digest — retrieval fallback targets: they
         are guaranteed (if non-faulty) to hold the body and its ancestors.
 
-        Returns a live read-only :class:`SetView` (no per-call copy):
-        membership/length track echoes as they arrive, and iteration
-        snapshots at its start, so the view is safe to hold across
-        message processing."""
+        A point-in-time snapshot decoded from the echo bitmask; the only
+        caller (retrieval's retry timer) sorts it, so iteration order is
+        irrelevant."""
         inst = self._instances.get(digest)
-        return SetView(inst.echoers) if inst else EMPTY_SET_VIEW
+        mask = inst.echoers if inst is not None else 0
+        if not mask:
+            return NO_ECHOERS
+        return frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)

@@ -24,7 +24,6 @@ precisely to patch this.
 
 from __future__ import annotations
 
-from collections.abc import Set as AbstractSet
 from typing import Dict, List, Optional, Tuple
 
 from ..crypto.hashing import Digest
@@ -114,17 +113,16 @@ class CbcManager:
         """Count an echo; returns True if this completed a delivery."""
         inst = self.tracker.state(echo.digest)
         inst.round = echo.round
-        if self._trace is None:
-            inst.echoers.add(src)
-        else:
-            before = len(inst.echoers)
-            inst.echoers.add(src)
-            if before < self.quorum <= len(inst.echoers):
-                self._trace.emit(
-                    self.net.now(), "trace.quorum", self.net.node_id,
-                    digest=echo.digest.hex()[:8], round=echo.round,
-                    author=echo.author, kind="echo", primitive="cbc",
-                )
+        if (
+            inst.add_echo(src)
+            and inst.echo_count == self.quorum
+            and self._trace is not None
+        ):
+            self._trace.emit(
+                self.net.now(), "trace.quorum", self.net.node_id,
+                digest=echo.digest.hex()[:8], round=echo.round,
+                author=echo.author, kind="echo", primitive="cbc",
+            )
         return self.tracker.try_deliver(inst, self._predicate(inst))
 
     def mark_ready(self, digest: Digest) -> bool:
@@ -147,7 +145,7 @@ class CbcManager:
         return delivered
 
     def _predicate(self, inst) -> bool:
-        return len(inst.echoers) >= self.quorum
+        return inst.echo_count >= self.quorum
 
     # -- memory ---------------------------------------------------------------
 
@@ -173,8 +171,8 @@ class CbcManager:
         """True when the quorum of echoes exists (delivery may still be
         waiting on body or ancestors — the retrieval fallback trigger)."""
         inst = self.tracker.peek(digest)
-        return inst is not None and len(inst.echoers) >= self.quorum
+        return inst is not None and inst.echo_count >= self.quorum
 
-    def echoers_of(self, digest: Digest) -> AbstractSet:
-        """Live read-only view of a digest's echoers (no copy)."""
+    def echoers_of(self, digest: Digest) -> frozenset:
+        """Snapshot of a digest's echoers."""
         return self.tracker.echoers_of(digest)

@@ -17,7 +17,6 @@ Three message steps → the 3× latency multiplier that motivates the paper
 
 from __future__ import annotations
 
-from collections.abc import Set as AbstractSet
 from typing import Dict, Optional, Set, Tuple
 
 from ..crypto.hashing import Digest
@@ -110,28 +109,27 @@ class RbcManager:
     def on_echo(self, src: int, echo: BlockEcho) -> bool:
         inst = self.tracker.state(echo.digest)
         inst.round = echo.round
-        inst.echoers.add(src)
+        inst.add_echo(src)
         self._slot_of_digest.setdefault(echo.digest, (echo.round, echo.author))
-        if len(inst.echoers) >= self.quorum:
+        if inst.echo_count >= self.quorum:
             self._maybe_send_ready(echo.round, echo.author, echo.digest, inst)
         return self.tracker.try_deliver(inst, self._predicate(inst))
 
     def on_ready(self, src: int, ready: BlockReady) -> bool:
         inst = self.tracker.state(ready.digest)
         inst.round = ready.round
-        if self._trace is None:
-            inst.readiers.add(src)
-        else:
-            before = len(inst.readiers)
-            inst.readiers.add(src)
-            if before < self.quorum <= len(inst.readiers):
-                self._trace.emit(
-                    self.net.now(), "trace.quorum", self.net.node_id,
-                    digest=ready.digest.hex()[:8], round=ready.round,
-                    author=ready.author, kind="ready", primitive="rbc",
-                )
+        if (
+            inst.add_ready(src)
+            and inst.ready_count == self.quorum
+            and self._trace is not None
+        ):
+            self._trace.emit(
+                self.net.now(), "trace.quorum", self.net.node_id,
+                digest=ready.digest.hex()[:8], round=ready.round,
+                author=ready.author, kind="ready", primitive="rbc",
+            )
         self._slot_of_digest.setdefault(ready.digest, (ready.round, ready.author))
-        if len(inst.readiers) >= self.amplify_threshold:
+        if inst.ready_count >= self.amplify_threshold:
             self._maybe_send_ready(
                 ready.round, ready.author, ready.digest, inst, amplified=True
             )
@@ -168,7 +166,7 @@ class RbcManager:
         return delivered
 
     def _predicate(self, inst) -> bool:
-        return len(inst.readiers) >= self.quorum
+        return inst.ready_count >= self.quorum
 
     # -- memory ---------------------------------------------------------------
 
@@ -199,8 +197,8 @@ class RbcManager:
     def ready_complete(self, digest: Digest) -> bool:
         """Quorum of READYs present (delivery may still await body/gate)."""
         inst = self.tracker.peek(digest)
-        return inst is not None and len(inst.readiers) >= self.quorum
+        return inst is not None and inst.ready_count >= self.quorum
 
-    def echoers_of(self, digest: Digest) -> AbstractSet:
-        """Live read-only view of a digest's echoers (no copy)."""
+    def echoers_of(self, digest: Digest) -> frozenset:
+        """Snapshot of a digest's echoers."""
         return self.tracker.echoers_of(digest)

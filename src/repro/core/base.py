@@ -355,8 +355,8 @@ class BaseDagNode(Node):
     def _holders_of(self, digest: Digest) -> AbstractSet:
         """Replicas believed to hold a block body (echoers of its digest).
 
-        Implementations return a live read-only view (see
-        ``InstanceTracker.echoers_of``) — never mutate the result."""
+        Implementations return an immutable snapshot (see
+        ``InstanceTracker.echoers_of``)."""
         return frozenset()
 
     # -------------------------------------------------------------- accepting

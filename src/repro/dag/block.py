@@ -110,6 +110,11 @@ class Block:
     #: Author's signature over the digest (backend-specific object).
     signature: object = None
 
+    # Deliberately not memoized: a cached tuple would be shared by every
+    # dict that keys on it, and the explorer's alias-sensitive canonical
+    # encoding (``check.explorer._Canonicalizer``) would then encode those
+    # keys as back-references, changing state fingerprints and breaking
+    # snapshot-replay and partial-order-reduction soundness checks.
     @property
     def slot(self) -> Tuple[int, int]:
         """The DAG position ``(round, author)`` this block occupies."""

@@ -20,7 +20,15 @@ from .block import Block
 
 @dataclass(frozen=True)
 class CommitRecord:
-    """One committed block with its position and provenance."""
+    """One committed block with its position and provenance.
+
+    Slotted (one per committed block per replica, kept for the whole run).
+    A frozen dataclass with ``__slots__`` cannot be pickled or deep-copied
+    by the default slot-state protocol — restoring goes through the frozen
+    ``__setattr__`` — so :meth:`__reduce__` rebuilds it from its fields.
+    """
+
+    __slots__ = ("position", "block", "commit_time", "via_leader", "leader_index")
 
     position: int
     block: Block
@@ -31,6 +39,13 @@ class CommitRecord:
     via_leader: Digest
     #: Index k of the committed-leader sequence this block was ordered under.
     leader_index: int
+
+    def __reduce__(self):
+        return (
+            CommitRecord,
+            (self.position, self.block, self.commit_time, self.via_leader,
+             self.leader_index),
+        )
 
 
 class Ledger:

@@ -1,9 +1,12 @@
 """Tests for repro.dag.ledger: total order, positions, safety checking."""
 
+import copy
+import pickle
+
 import pytest
 
 from repro.dag.block import TxBatch, make_block
-from repro.dag.ledger import Ledger, check_prefix_consistency
+from repro.dag.ledger import CommitRecord, Ledger, check_prefix_consistency
 from repro.errors import ProtocolError
 
 
@@ -153,3 +156,28 @@ class TestPrefixConsistency:
             else:
                 with pytest.raises(ProtocolError):
                     check_prefix_consistency(family)
+
+
+class TestCommitRecord:
+    def record(self):
+        ledger = Ledger()
+        return ledger.append(block_at(3, 1, txs=7), 2.5, b"L" * 32, ledger.begin_leader())
+
+    def test_slotted(self):
+        record = self.record()
+        assert not hasattr(record, "__dict__")
+        with pytest.raises(AttributeError):
+            record.position = 9  # type: ignore[misc]
+
+    def test_pickle_round_trip(self):
+        record = self.record()
+        clone = pickle.loads(pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL))
+        assert type(clone) is CommitRecord
+        assert clone == record
+        assert clone.block.digest == record.block.digest
+
+    def test_deepcopy_round_trip(self):
+        record = self.record()
+        clone = copy.deepcopy(record)
+        assert clone == record and clone is not record
+        assert clone.block is record.block  # blocks are shared, never copied

@@ -10,8 +10,9 @@ output of consensus).
 Two angles:
 
 * **Object counts** — deterministic bounds on every round-keyed
-  container after 60+ rounds at n=33 (fan-out 32, so the vectorized
-  delivery-batch engine is exercised while we measure).
+  container after 60+ rounds at n=33 (fan-out 32 on the default engine,
+  which pushes one heap entry per wire copy; only ``engine="numpy"``
+  builds batched heap entries).
 * **tracemalloc** — heap growth between round 32 and round 64 must be
   linear-in-ledger only: a small per-round allowance, no acceleration,
   and no transient peak far above the steady state.
@@ -60,7 +61,7 @@ def run_to_round(sim, target, until):
 
 class TestLongRunMemory:
     def test_heap_flat_after_gc_watermark_at_n33(self):
-        """60+ rounds at n=33 (vectorized-batch regime): heap growth in
+        """60+ rounds at n=33 (fan-out 32, default engine): heap growth in
         the second half is ledger-only, and every round-keyed container
         ends O(window)."""
         n, gc_depth = 33, 8

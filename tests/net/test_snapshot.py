@@ -21,8 +21,12 @@ from repro.check.explorer import (
     build_world,
     state_fingerprint,
 )
+from repro.config import ProtocolConfig, SystemConfig
+from repro.core.lightdag2 import LightDag2Node
+from repro.crypto.keys import TrustedDealer
+from repro.dag.ledger import CommitRecord
 from repro.net.interfaces import Message, Node
-from repro.net.latency import UniformLatency
+from repro.net.latency import FixedLatency, UniformLatency
 from repro.net.simulator import Simulation
 
 
@@ -105,6 +109,52 @@ class TestTimedSnapshot:
             sim.run(until=0.4)
             probes.append(timed_probe(sim))
         assert probes[0] == probes[1] == probes[2]
+
+
+def make_committing_sim(n=4, seed=3):
+    system = SystemConfig(n=n, crypto="null", seed=seed)
+    protocol = ProtocolConfig(batch_size=5)
+    chains = TrustedDealer(
+        system, coin_threshold=protocol.resolve_coin_threshold(system)
+    ).deal()
+    return Simulation(
+        [
+            (lambda net, i=i: LightDag2Node(net, system, protocol, chains[i]))
+            for i in range(n)
+        ],
+        latency_model=FixedLatency(0.01),
+        seed=seed,
+    )
+
+
+def ledger_probe(sim):
+    return [
+        [(r.position, r.block.digest, r.commit_time, r.via_leader, r.leader_index)
+         for r in node.ledger]
+        for node in sim.nodes
+    ]
+
+
+class TestCommittedWorldSnapshot:
+    def test_restore_rewinds_committed_ledgers(self):
+        sim = make_committing_sim()
+        sim.start()
+        sim.run(until=0.5)
+        committed = ledger_probe(sim)
+        assert all(committed), "no commits before the snapshot"
+        snap = sim.snapshot()
+        assert snap._blob is not None, "snapshot fell back from the pickle path"
+        sim.run(until=1.0)
+        branched = ledger_probe(sim)
+        assert branched != committed
+
+        snap.restore()
+        assert ledger_probe(sim) == committed
+        assert all(
+            type(r) is CommitRecord for node in sim.nodes for r in node.ledger
+        )
+        sim.run(until=1.0)
+        assert ledger_probe(sim) == branched
 
 
 # --------------------------------------------------- protocol-world property
