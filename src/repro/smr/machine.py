@@ -15,7 +15,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
-from ..crypto.hashing import Digest, hash_fields
+from ..crypto.hashing import Digest, hash_fields, intern_digest
 
 
 @dataclass(frozen=True)
@@ -51,7 +51,8 @@ class Command:
 
         r = Reader(data)
         command = cls(
-            command_id=r.lp_bytes(), client=r.lp_str(), payload=r.lp_bytes()
+            command_id=intern_digest(r.lp_bytes()), client=r.lp_str(),
+            payload=r.lp_bytes(),
         )
         r.expect_eof()
         return command

@@ -4,15 +4,17 @@
 commands enter through :meth:`submit` / :meth:`submit_command`; the replica
 batches them into block payloads (the node's ``payload_source`` hook), and
 the node's ``on_commit`` hook feeds committed blocks back in ledger order,
-where commands are applied **exactly once** (dedup by command id —
-consensus may commit the same payload twice through a LightDAG2
-reproposal, and clients may retry).
+where commands are applied **exactly once** (consensus may commit the
+same payload twice through a LightDAG2 reproposal, and clients may
+retry).  One table, ``results`` (command id → result), is the dedup set,
+the apply order (a dict keeps insertion order; an applied id is never
+removed) and the reply cache.
 
 The client-facing surface is completion-based: a submission may register a
 *waiter* that fires exactly once with the committed result and commit
 time.  Retries (same ``command_id``) are idempotent at every stage: a
 command already queued is not queued twice, and a command already applied
-resolves the new waiter immediately from the result cache.
+resolves the new waiter immediately from the result table.
 
 Backpressure lives here too: an optional
 :class:`~repro.workload.admission.AdmissionController` bounds the pending
@@ -76,13 +78,16 @@ class SmrReplica:
         self.admission = admission
         self._pending: Deque[Command] = deque()
         self._pending_ids: Set[Digest] = set()
-        self._applied_ids: set = set()
-        self.applied_order: List[Digest] = []
         self.results: Dict[Digest, bytes] = {}
         self._nonce = itertools.count()
         self._result_listeners: List[Callable[[Command, bytes], None]] = []
         self._waiters: Dict[Digest, List[Waiter]] = {}
         self._trace = None
+
+    @property
+    def applied_order(self) -> List[Digest]:
+        """Applied command ids in apply order (a copy of the table's keys)."""
+        return list(self.results)
 
     def bind_trace(self, trace) -> None:
         """Attach a tracer so applies emit ``trace.execute`` spans — the
@@ -116,9 +121,9 @@ class SmrReplica:
         queued command (whose waiters fire with ``result=None``).
         """
         cid = command.command_id
-        if cid in self._applied_ids:
+        if cid in self.results:
             if waiter is not None:
-                waiter(command, self.results.get(cid), now)
+                waiter(command, self.results[cid], now)
             return True
         if cid in self._pending_ids:
             if waiter is not None:
@@ -182,19 +187,16 @@ class SmrReplica:
 
     def on_commit(self, record: CommitRecord) -> None:
         """Apply a committed block's commands in order, exactly once."""
-        applied_before = len(self.applied_order)
+        applied_before = len(self.results)
         for raw in record.block.payload.items:
             try:
                 command = Command.from_bytes(raw)
             except CodecError:
                 continue  # non-command payload (foreign app); skip deterministically
             cid = command.command_id
-            if cid in self._applied_ids:
+            if cid in self.results:
                 continue
-            self._applied_ids.add(cid)
-            result = self.machine.apply(command)
-            self.applied_order.append(cid)
-            self.results[cid] = result
+            result = self.results[cid] = self.machine.apply(command)
             for listener in self._result_listeners:
                 listener(command, result)
             for waiter in self._waiters.pop(cid, ()):
@@ -204,7 +206,7 @@ class SmrReplica:
                 record.commit_time, "trace.execute", self.replica_id,
                 digest=record.block.digest.hex()[:8],
                 position=record.position,
-                commands=len(self.applied_order) - applied_before,
+                commands=len(self.results) - applied_before,
             )
 
 
@@ -309,23 +311,19 @@ class SmrCluster:
     # -- invariants ----------------------------------------------------------------
 
     def verify_convergence(self) -> None:
-        """Every pair of replicas agrees on the applied prefix and, where
-        both applied equally much, on the exact state digest."""
+        """Every replica's applied sequence is a prefix of the longest one's
+        (so any two agree on their shared prefix), and replicas that applied
+        equally much hold the exact same state digest."""
         check_prefix_consistency([node.ledger for node in self.sim.nodes])
-        orders = [replica.applied_order for replica in self.replicas]
-        for a in range(len(orders)):
-            for b in range(a + 1, len(orders)):
-                common = min(len(orders[a]), len(orders[b]))
-                if orders[a][:common] != orders[b][:common]:
-                    raise ProtocolError(
-                        f"replicas {a} and {b} applied different command "
-                        f"prefixes"
-                    )
-                if len(orders[a]) == len(orders[b]):
-                    da = self.replicas[a].machine.state_digest()
-                    db = self.replicas[b].machine.state_digest()
-                    if da != db:
-                        raise ProtocolError(
-                            f"replicas {a} and {b} applied the same commands "
-                            f"but diverged in state"
-                        )
+        longest = max((replica.results for replica in self.replicas), key=len)
+        digest_at: Dict[int, Digest] = {}  # applied count -> state digest
+        for i, replica in enumerate(self.replicas):
+            if any(a != b for a, b in zip(replica.results, longest)):
+                raise ProtocolError(
+                    f"replica {i} applied a different command prefix than the longest"
+                )
+            digest = replica.machine.state_digest()
+            if digest_at.setdefault(len(replica.results), digest) != digest:
+                raise ProtocolError(
+                    f"replica {i} applied the same commands as another but diverged"
+                )

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.config import SystemConfig
+from repro.errors import ProtocolError
 from repro.smr.kv import KvStateMachine
 from repro.smr.machine import Command
 from repro.smr.replica import SmrCluster, SmrReplica
@@ -167,17 +168,20 @@ class TestWaiters:
 
     def test_resubmit_after_apply_resolves_immediately_from_cache(self):
         replica = SmrReplica(0, KvStateMachine())
-        command = cmd(b"SET x 1")
-        replica.submit_command(command)
+        read = cmd(b"GET x", nonce=2)
+        replica.submit_command(read)
         replica.payload_source(now=0.0)
-        _commit(replica, [command], when=1.0)
+        _commit(replica, [cmd(b"SET x 1", nonce=1), read], when=1.0)
+        _commit(replica, [cmd(b"SET x 2", nonce=3)], position=1, when=2.0)
         fired = []
         assert replica.submit_command(
-            command, now=5.0, waiter=lambda c, r, t: fired.append((r, t))
+            read, now=5.0, waiter=lambda c, r, t: fired.append((r, t))
         )
-        assert fired == [(b"OK", 5.0)]
+        # The cached answer, not a re-execution against the newer state.
+        assert fired == [(b"VAL 1", 5.0)]
         assert replica.pending_count() == 0
-        assert replica.machine.applied_count == 1
+        assert replica.payload_source(now=6.0).count == 0
+        assert replica.machine.applied_count == 3
 
     def test_waiterless_duplicates_still_apply_once(self):
         replica = SmrReplica(0, KvStateMachine())
@@ -293,3 +297,72 @@ class TestSmrCluster:
         assert results == {b"OK", b"FAIL"}
         final = {r.machine.data["n"] for r in cluster.replicas}
         assert len(final) == 1 and final.pop() in ("10", "20")
+
+
+class TestResultTable:
+    """``results`` is the dedup set, the apply order and the reply cache."""
+
+    def test_key_order_is_apply_order_under_duplicates(self):
+        replica = SmrReplica(0, KvStateMachine())
+        a, b, c, d = (cmd(b"SET k v", nonce=i) for i in range(4))
+        # The same command twice in one payload applies once.
+        _commit(replica, [a, b, a, c], position=0)
+        assert list(replica.results) == [a.command_id, b.command_id, c.command_id]
+        # A LightDAG2 reproposal commits b again next to a new command.
+        _commit(replica, [b, d], position=1)
+        order = [a.command_id, b.command_id, c.command_id, d.command_id]
+        assert list(replica.results) == order
+        assert replica.applied_order == order
+        assert replica.machine.applied_count == 4
+
+    def test_replicas_share_interned_command_ids(self, monkeypatch):
+        from repro.crypto import hashing
+
+        monkeypatch.setattr(hashing, "_intern_table", {})
+        replicas = [SmrReplica(i, KvStateMachine()) for i in range(4)]
+        commands = [cmd(b"SET k v", nonce=i) for i in range(3)]
+        for replica in replicas:
+            _commit(replica, commands)
+        first = list(replicas[0].results)
+        assert first == [c.command_id for c in commands]
+        for replica in replicas[1:]:
+            assert all(x is y for x, y in zip(replica.results, first))
+
+
+class TestVerifyConvergence:
+    """The convergence check fails on a diverged prefix or state, and
+    accepts a replica that has merely applied less."""
+
+    def _converged_cluster(self):
+        cluster = SmrCluster.build(
+            SystemConfig(n=4, crypto="hmac", seed=4),
+            machine_factory=KvStateMachine,
+            seed=4,
+        )
+        for i in range(6):
+            cluster.replicas[i % 4].submit(f"SET k{i} {i}".encode())
+        cluster.run(until=3.0)
+        cluster.verify_convergence()
+        assert {len(r.results) for r in cluster.replicas} == {6}
+        return cluster
+
+    def test_tampered_apply_order_fails(self):
+        cluster = self._converged_cluster()
+        replica = cluster.replicas[1]
+        items = list(replica.results.items())
+        items[2], items[3] = items[3], items[2]
+        replica.results = dict(items)
+        with pytest.raises(ProtocolError, match="different command prefix"):
+            cluster.verify_convergence()
+
+    def test_same_length_different_state_fails(self):
+        cluster = self._converged_cluster()
+        cluster.replicas[2].machine.data["k0"] = "forged"
+        with pytest.raises(ProtocolError, match="diverged"):
+            cluster.verify_convergence()
+
+    def test_shorter_replica_passes(self):
+        cluster = self._converged_cluster()
+        replica = cluster.replicas[3]
+        replica.results = dict(list(replica.results.items())[:-2])
+        cluster.verify_convergence()
