@@ -21,12 +21,14 @@ both derived purely from immutable inputs:
 
 * **Fixed-base tables** — :meth:`register_fixed_base` marks a base (the
   generator, a replica public key, a coin verification key) as hot; the
-  first exponentiation with it builds an 8-bit comb table, after which
-  ``base^e`` costs ~32 modular multiplications instead of a full modexp.
-  Table construction is lazy, so registering keys for a replica set that
-  never verifies costs nothing, and the number of *built* tables is
-  capped (further bases silently fall back to ``pow``) so large-n sweeps
-  cannot pin unbounded memory on the process-wide singleton group.
+  first exponentiation with it builds a Lim–Lee comb table (8 rows of
+  256 entries, ~136 KiB at 256 bits), after which ``base^e`` costs 3
+  squarings plus at most 32 modular multiplications instead of a full
+  modexp.  Table construction is lazy, so registering keys for a
+  replica set that never verifies costs nothing, and the number of
+  *built* tables is capped (further bases silently fall back to ``pow``)
+  so large-n sweeps cannot pin unbounded memory on the process-wide
+  singleton group.
 * **Membership memo** — registered bases are membership-checked once at
   registration; :meth:`is_member` answers for them from a set lookup, and
   for unregistered elements via a binary Jacobi symbol (no modexp at all).
@@ -44,51 +46,79 @@ from ..errors import CryptoError
 from .hashing import hash_to_int
 from .primes import SAFE_PRIMES, SafePrime
 
-#: Comb window width in bits.  8 divides the scalar into byte-sized digits,
-#: so exponent decomposition is plain shifts/masks; each base's table holds
-#: ``ceil(qbits / 8)`` rows of 255 odd entries (~0.5 MiB for 256-bit p).
+#: Comb digit width in bits, and the number of teeth per digit: a row of
+#: a table is indexed by one byte whose bit ``i`` selects tooth ``i``.
 _WINDOW_BITS = 8
+
+#: Rows (blocks) per table.  Together with 8-bit digits, one column of
+#: the exponent is 64 bits, so it reads out as eight digit bytes in one
+#: ``int.to_bytes`` call.
+_BLOCKS = 8
 
 #: Cap on lazily *built* comb tables per group instance.  Registration is
 #: unbounded (it only memoizes membership), but each built table pins
-#: ~0.5 MiB for the life of the group — and ``default_group`` is a
-#: process-wide singleton, so a large-n sweep (n=61 registers ~120 keys)
-#: could otherwise accumulate tens of MiB that are never evicted.  Bases
-#: past the cap fall back to ``pow`` — a speed trade, never correctness;
-#: lazy construction means the cap is spent on the bases actually used.
+#: ~136 KiB (256-bit p) for the life of the group — and ``default_group``
+#: is a process-wide singleton, so a large-n sweep (n=61 registers ~120
+#: keys) could otherwise accumulate memory that is never evicted.  The cap
+#: bounds it at ~13 MiB.  Bases past the cap fall back to ``pow`` — a
+#: speed trade, never correctness; lazy construction means the cap is
+#: spent on the bases actually used.
 _MAX_BUILT_TABLES = 96
 
 
 class _FixedBaseTable:
-    """Comb precomputation for one base: ``rows[j][d] = base^(d << 8j)``."""
+    """Lim–Lee comb precomputation for one base.
 
-    __slots__ = ("rows",)
+    The exponent is padded to ``64 * cols`` bits, and bit
+    ``cols * (8j + i) + k`` is tooth ``i`` of block ``j`` in column ``k``.
+    Row ``j`` holds, for every byte ``d``, the product of
+    ``base^(2^(cols * (8j + i)))`` over the set bits ``i`` of ``d``, so
+
+        ``base^e = Π_k (Π_j rows[j][d_jk])^(2^k)``
+
+    — ``cols - 1`` squarings plus at most ``8 * cols`` multiplications.
+    ``cols`` comes from ``qbits``: 4 for the 256-bit group, 8 for 512.
+    Rows are stored most significant block first, the order in which a
+    column's digit bytes come out of ``int.to_bytes``.
+    """
+
+    __slots__ = ("rows", "cols", "limit", "spec")
 
     def __init__(self, base: int, p: int, qbits: int) -> None:
-        windows = (qbits + _WINDOW_BITS - 1) // _WINDOW_BITS
+        column_bits = _WINDOW_BITS * _BLOCKS
+        cols = -(-qbits // column_bits)
         rows: List[List[int]] = []
         b = base
-        for _ in range(windows):
-            row = [1] * 256
-            acc = 1
-            for d in range(1, 256):
-                acc = acc * b % p
-                row[d] = acc
+        for _ in range(_BLOCKS):
+            row = [1]
+            for _ in range(_WINDOW_BITS):
+                # Entries with tooth i set are those without it, times b;
+                # concatenating keeps the final row exactly 256 long.
+                row = row + [x * b % p for x in row]
+                for _ in range(cols):
+                    b = b * b % p
             rows.append(row)
-            # Advance the window base: b^(256) = b^255 * b.
-            b = acc * b % p
+        rows.reverse()
         self.rows = rows
+        self.cols = cols
+        self.limit = 1 << (column_bits * cols)
+        self.spec = "0%db" % (column_bits * cols)
 
     def pow(self, e: int, p: int) -> int:
-        """``base^e mod p`` for ``0 <= e < 2^(8 * len(rows))``."""
+        """``base^e mod p`` for ``0 <= e < self.limit``."""
+        # One binary string, most significant bit first; the stride-cols
+        # slice starting at c is column cols-1-c, 64 bits whose bytes are
+        # the digits of the blocks, most significant block first.
+        bits = format(e, self.spec)
+        cols = self.cols
+        rows = self.rows
         result = 1
-        for row in self.rows:
-            d = e & 0xFF
-            if d:
+        for c in range(cols):
+            if c:
+                result = result * result % p
+            digits = int(bits[c::cols], 2).to_bytes(_BLOCKS, "big")
+            for row, d in zip(rows, digits):
                 result = result * row[d] % p
-            e >>= 8
-            if not e:
-                break
         return result
 
 
@@ -146,7 +176,7 @@ class SchnorrGroup:
     # comb-table / membership caches — pure, positive-only derivations of
     # ``(p, q, g)``.  ``default_group`` hands out a process-wide singleton,
     # and simulator snapshots must preserve that: copying the group would
-    # both fork tens of MiB of comb tables per branch and silently break
+    # both fork several MiB of comb tables per branch and silently break
     # the "one group per (p, q, g)" identity the caches rely on.
     def __copy__(self) -> "SchnorrGroup":
         return self
@@ -202,10 +232,14 @@ class SchnorrGroup:
         The fast path for call sites whose scalars are born reduced
         (challenges, response scalars, Lagrange coefficients) — skipping
         the redundant ``% q`` of :meth:`exp`.  Uses the comb table when
-        ``base`` is registered.
+        ``base`` is registered; an exponent outside the table's range is
+        reduced mod ``q`` first (exact, since a registered base is a
+        subgroup member), so both paths return ``pow(base, e, p)``.
         """
         table = self._table_for(base)
         if table is not None:
+            if not 0 <= e < table.limit:
+                e %= self.q
             return table.pow(e, self.p)
         return pow(base, e, self.p)
 

@@ -15,8 +15,8 @@ verification requires:
 * verify: recompute ``c = H(R, pk, m)`` and check ``g^s == R · pk^c``.
 
 Verification never inverts: with ``g`` and registered public keys backed by
-fixed-base comb tables (:mod:`repro.crypto.group`), both exponentiations
-are ~32 modular multiplications each.
+fixed-base comb tables (:mod:`repro.crypto.group`), each exponentiation
+is 3 squarings plus at most 32 modular multiplications.
 
 Batch verification
 ------------------

@@ -204,15 +204,13 @@ class ThresholdPRF:
                     f"DLEQ verification"
                 )
         points = [p.index + 1 for p in selected.values()]
-        # Lagrange coefficients come out of lagrange_at_zero already
-        # reduced mod q — no second reduction needed.
         lam = lagrange_at_zero(points, self.group.q)
-        result = 1
-        for partial in selected.values():
-            result = self.group.mul(
-                result, self.group.exp_reduced(partial.value, lam[partial.index + 1])
-            )
-        return result
+        # Π σ_j^{λ_j} in one interleaved pass: the partials are fresh
+        # per-wave elements, so one shared squaring chain beats a full
+        # modexp per partial.
+        return self.group.multi_exp(
+            [(p.value, lam[p.index + 1]) for p in selected.values()]
+        )
 
 
 def combine_partials(

@@ -66,6 +66,62 @@ class TestFixedBaseTables:
         assert len(g._built) == 2
 
 
+def comb_edge_exponents(group):
+    """Exponents that exercise the comb layout's corners: the identity,
+    one bit, ``q - 1``, every power of two below the table's range, and
+    values whose comb columns (bits ``n`` with ``n % cols == k``) are all
+    ones."""
+    table = group._table_for(group.g)
+    width = table.limit.bit_length() - 1
+    cols = table.cols
+    columns = [
+        sum(1 << n for n in range(k, width, cols)) for k in range(cols)
+    ]
+    return (
+        [0, 1, group.q - 1, group.q, table.limit - 1]
+        + [1 << k for k in range(width)]
+        + columns
+        + [sum(columns[: k + 1]) for k in range(cols)]
+    )
+
+
+@pytest.mark.parametrize("bits", sorted(SAFE_PRIMES))
+class TestCombLayouts:
+    """The comb's layout is derived from ``qbits``: 4 columns at 256 bits,
+    8 at 512.  Both embedded primes are pinned to ``pow``."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_fixed_base_matches_pow(self, bits, data):
+        group = default_group(bits)
+        e = data.draw(st.integers(min_value=0, max_value=group.q - 1))
+        assert group.exp_reduced(group.g, e) == pow(group.g, e, group.p)
+
+    def test_edge_exponents(self, bits):
+        group = SchnorrGroup.from_safe_prime(SAFE_PRIMES[bits])
+        base = group.exp(group.g, 0xC0FFEE)
+        group.register_fixed_base(base)
+        for e in comb_edge_exponents(group):
+            assert group.exp_reduced(group.g, e) == pow(group.g, e, group.p), e
+            assert group.exp_reduced(base, e) == pow(base, e, group.p), e
+
+    @pytest.mark.parametrize(
+        "e",
+        [2**256 + 5, 2**512 + 5, 2**1000 - 1, -1, -5, -(2**300)],
+        ids=["2^256+5", "2^512+5", "2^1000-1", "-1", "-5", "-2^300"],
+    )
+    def test_out_of_range_exponent_matches_pow(self, bits, e):
+        # A registered base and an unregistered one give the same answer
+        # as pow for exponents the table cannot index directly.
+        group = SchnorrGroup.from_safe_prime(SAFE_PRIMES[bits])
+        registered = group.exp(group.g, 4242)
+        group.register_fixed_base(registered)
+        unregistered = group.exp(group.g, 4243)
+        assert not group.has_fixed_base(unregistered)
+        for base in (group.g, registered, unregistered):
+            assert group.exp_reduced(base, e) == pow(base, e, group.p)
+
+
 class TestMultiExp:
     @settings(max_examples=25, deadline=None)
     @given(

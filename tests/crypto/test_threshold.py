@@ -6,7 +6,7 @@ import pytest
 
 from repro.crypto.group import default_group
 from repro.crypto.hashing import hash_fields
-from repro.crypto.shamir import split_secret
+from repro.crypto.shamir import lagrange_at_zero, split_secret
 from repro.crypto.threshold import (
     DleqProof,
     PartialEval,
@@ -63,6 +63,19 @@ class TestThresholdPRF:
         combined = prfs[0].combine(msg, partials)
         h = prfs[0].input_element(msg)
         assert combined == group.exp(h, secret)
+
+    def test_combine_equals_per_partial_product(self, group):
+        # combine runs one multi-exponentiation; it must return exactly
+        # the product of one pow per partial.
+        _, prfs = build_prfs(group, n=16, threshold=6, seed=3)
+        msg = hash_fields("wave", 7)
+        partials = [prf.partial_eval(msg) for prf in prfs]
+        for chosen in (partials[:6], partials[10:], partials[::3][:6]):
+            lam = lagrange_at_zero([p.index + 1 for p in chosen], group.q)
+            expected = 1
+            for p in chosen:
+                expected = expected * pow(p.value, lam[p.index + 1], group.p) % group.p
+            assert prfs[0].combine(msg, chosen) == expected
 
     def test_any_threshold_subset_combines_identically(self, group):
         _, prfs = build_prfs(group, n=5, threshold=3)
